@@ -17,8 +17,11 @@ vet:
 # storage, persist, and scrub packages are build failures — a silently
 # ignored fsync error is exactly how acknowledged data gets lost. Deliberate
 # discards carry a //nolint:synccheck annotation at the call site.
+# Dead-code check: an unexported package-level func, type, var or const that
+# nothing in its package (tests included) references fails the lint.
 lint:
 	$(GO) run ./internal/tools/synccheck -root .
+	$(GO) run ./internal/tools/unusedcheck -root .
 
 # Race-detector run over the packages with concurrency-sensitive code
 # (parallel scan, exchange operators, tuple mover, storage fault injection,

@@ -2,8 +2,10 @@ package batchexec
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -151,6 +153,68 @@ func assertSameRows(t *testing.T, label string, got, want []sqltypes.Row) {
 	if d := multisetDiff(rowMultiset(got), rowMultiset(want)); d != "" {
 		t.Errorf("%s: result mismatch (order-insensitive):\n%s", label, d)
 	}
+}
+
+// assertSameSums is assertSameRows for results holding float sums that were
+// added up in different orders: rows left over after matching on rowKey still
+// pair up when they agree in every value except floats within a relative
+// 1e-9, because two sums a few ulps apart can straddle one of roundSig's
+// rounding boundaries.
+func assertSameSums(t *testing.T, label string, got, want []sqltypes.Row) {
+	t.Helper()
+	gm, wm := rowMultiset(got), rowMultiset(want)
+	d := multisetDiff(gm, wm)
+	if d == "" {
+		return
+	}
+	extraGot, extraWant := unmatchedRows(got, wm), unmatchedRows(want, gm)
+	if len(extraGot) != len(extraWant) {
+		t.Errorf("%s: result mismatch (order-insensitive):\n%s", label, d)
+		return
+	}
+	for _, g := range extraGot {
+		i := slices.IndexFunc(extraWant, func(w sqltypes.Row) bool { return closeRows(g, w) })
+		if i < 0 {
+			t.Errorf("%s: result mismatch (order-insensitive):\n%s", label, d)
+			return
+		}
+		extraWant = slices.Delete(extraWant, i, i+1)
+	}
+}
+
+// unmatchedRows returns the rows whose keys other does not account for.
+func unmatchedRows(rows []sqltypes.Row, other map[string]int) []sqltypes.Row {
+	left := maps.Clone(other)
+	var out []sqltypes.Row
+	for _, r := range rows {
+		if k := rowKey(r); left[k] > 0 {
+			left[k]--
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// closeRows reports whether a and b agree in every value, floats within a
+// relative 1e-9.
+func closeRows(a, b sqltypes.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, x := range a {
+		y := b[i]
+		if x.Typ == sqltypes.Float64 && y.Typ == sqltypes.Float64 && !x.Null && !y.Null {
+			if math.Abs(x.F-y.F) > 1e-9*math.Max(math.Abs(x.F), math.Abs(y.F)) {
+				return false
+			}
+			continue
+		}
+		if x.String() != y.String() {
+			return false
+		}
+	}
+	return true
 }
 
 func gotRows(t *testing.T, op Operator) map[string]int {
@@ -657,6 +721,92 @@ func TestHashAggSpill(t *testing.T) {
 		if r[1].I != refCounts[r[0].I] || r[2].I != refSums[r[0].I] {
 			t.Fatalf("group %d wrong under spill: %v", r[0].I, r)
 		}
+	}
+
+	// Long string keys: the interned key bytes count against the grant, so
+	// 200 groups of 1 KiB keys spill under a 64 KiB grant their fixed
+	// per-group cost alone would fit in.
+	ssch := sqltypes.NewSchema(
+		sqltypes.Column{Name: "g", Typ: sqltypes.String},
+		sqltypes.Column{Name: "v", Typ: sqltypes.Int64},
+	)
+	pad := strings.Repeat("x", 1<<10)
+	var srows []sqltypes.Row
+	strCounts := map[string]int64{}
+	for i := 0; i < 4000; i++ {
+		g := fmt.Sprintf("%s%03d", pad, rng.Intn(200))
+		srows = append(srows, sqltypes.Row{sqltypes.NewString(g), sqltypes.NewInt(1)})
+		strCounts[g]++
+	}
+	tracker = NewTracker(64 << 10)
+	sagg := NewHashAgg(&Values{Rows: srows, Sch: ssch}, []int{0}, []string{"g"}, []exec.AggSpec{
+		{Kind: exec.CountStar, Name: "n"},
+	})
+	sagg.Tracker = tracker
+	sagg.SpillStore = storage.NewStore(0)
+	if got, err = Drain(sagg); err != nil {
+		t.Fatal(err)
+	}
+	if tracker.Spills() == 0 {
+		t.Fatal("long string keys did not spill under a 64 KiB grant")
+	}
+	if len(got) != len(strCounts) {
+		t.Fatalf("string groups = %d, want %d", len(got), len(strCounts))
+	}
+	for _, r := range got {
+		if r[1].I != strCounts[r[0].S] {
+			t.Fatalf("string group %q wrong under spill: %d, want %d", r[0].S[len(pad):], r[1].I, strCounts[r[0].S])
+		}
+	}
+	if used := tracker.Used(); used != 0 {
+		t.Fatalf("HashAgg left %d bytes reserved after Close", used)
+	}
+}
+
+// A refused grant without a spill store must not be charged: the operator
+// runs unreserved, and Close returns the tracker to exactly zero.
+func TestGrantBalancedWithoutSpillStore(t *testing.T) {
+	sch := sqltypes.NewSchema(
+		sqltypes.Column{Name: "k", Typ: sqltypes.Int64},
+		sqltypes.Column{Name: "v", Typ: sqltypes.Int64},
+	)
+	rows := make([]sqltypes.Row, 5000)
+	for i := range rows {
+		rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % 7))}
+	}
+
+	tracker := NewTracker(8 << 10)
+	agg := NewHashAgg(&Values{Rows: rows, Sch: sch}, []int{0}, []string{"k"}, []exec.AggSpec{
+		{Kind: exec.CountStar, Name: "n"},
+		{Kind: exec.Sum, Arg: expr.NewColRef(1, "v", sqltypes.Int64), Name: "s"},
+	})
+	agg.Tracker = tracker
+	got, err := Drain(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(rows) {
+		t.Fatalf("groups = %d, want %d", len(got), len(rows))
+	}
+	if used := tracker.Used(); used != 0 {
+		t.Fatalf("HashAgg left %d bytes reserved after Close", used)
+	}
+
+	tracker = NewTracker(8 << 10)
+	j, err := NewHashJoin(&Values{Rows: rows, Sch: sch}, &Values{Rows: rows, Sch: sch},
+		[]int{0}, []int{0}, exec.Inner, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Tracker = tracker
+	if got, err = Drain(j); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(rows) {
+		t.Fatalf("join rows = %d, want %d", len(got), len(rows))
+	}
+	if used := tracker.Used(); used != 0 {
+		t.Fatalf("HashJoin left %d bytes reserved after Close", used)
 	}
 }
 

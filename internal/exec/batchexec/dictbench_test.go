@@ -43,6 +43,8 @@ func dictBenchSetup(b *testing.B) *table.Table {
 				sqltypes.NewInt(int64(i)),
 				sqltypes.NewString(dictBenchCats[rng.Intn(len(dictBenchCats))]),
 				sqltypes.NewInt(int64(rng.Intn(1000))),
+				sqltypes.NewNull(sqltypes.Int64),
+				sqltypes.NewNull(sqltypes.Float64),
 			}
 		}
 		store := storage.NewStore(storage.DefaultBufferPoolBytes)
@@ -106,8 +108,8 @@ func BenchmarkJoinOnString(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				probe, stats := benchInput(tb, []int{0, 1}, v.eager)
 				// Semi-join shape keeps output linear in the probe; the build
-				// side is a raw scan so its string key stays coded (htCode)
-				// in the coded variant and materialized (htStr) in the eager
+				// side is a raw scan so its string key reaches the key table
+				// coded in the coded variant and materialized in the eager
 				// one.
 				build, _ := benchInput(tb, []int{1}, v.eager)
 				j, err := NewHashJoin(probe, build, []int{1}, []int{0}, exec.LeftSemi, nil)

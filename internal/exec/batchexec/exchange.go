@@ -17,15 +17,16 @@
 //     build row is matched by exactly one goroutine and outer/semi/anti
 //     semantics hold per partition.
 //
-// Both preserve the PR-2 code-space paths: batches cross the exchange in
-// dict-coded form (gatherVec moves codes, never strings), partial aggregation
-// groups on codes, and partition cores keep the htCode probe fast paths.
+// Both preserve the code-space paths: batches cross the exchange in
+// dict-coded form (gatherVec moves codes, never strings), and routing,
+// partial aggregation and the partition cores resolve coded keys through the
+// key table's per-dictionary code memo (keytable.go), one lookup per distinct
+// code.
 package batchexec
 
 import (
 	"context"
 	"errors"
-	"math"
 	"sync"
 	"time"
 
@@ -265,18 +266,17 @@ func firstExchangeError(ctx context.Context, errs []error) error {
 }
 
 // mergeAggTables combines the partial aggregation states of the worker
-// tables. In-memory groups fold together through their canonical encoded
-// keys (a group's partial states merge by adding counts and sums, comparing
+// tables. In-memory groups are re-inserted by key value into one merge table
+// (a group's partial states merge by adding counts and sums, comparing
 // min/max). Spilled rows cannot be aggregated per partition the way the
 // serial path does — a group can be in-memory in one worker and spilled by
 // another, so partitions no longer hold disjoint group sets — instead every
-// spilled row folds into the same merged table.
+// spilled row folds into the same merge table. The merge table holds no
+// grant: by merge time the workers' grants are already charged, and the
+// merged group set is bounded by the union of what the workers held.
 func mergeAggTables(ctx context.Context, aggs []exec.AggSpec, tables []*aggTable) ([]sqltypes.Row, error) {
 	t0 := tables[0]
 	m := newAggTable(t0.inSchema, t0.groupBy, aggs, nil, nil)
-	// The merge table only ever uses the generic encoded-key map (plus the
-	// scalar group); its fast-path state stays untouched because addBatch is
-	// never called on it.
 	for _, t := range tables {
 		if t == nil {
 			continue
@@ -284,151 +284,35 @@ func mergeAggTables(ctx context.Context, aggs []exec.AggSpec, tables []*aggTable
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for _, g := range t.order {
-			m.mergeGroup(g)
-		}
+		m.merge(t)
 		for _, part := range t.parts {
-			if part == nil {
-				continue
-			}
-			rows, err := part.readAll()
-			if err != nil {
+			if err := m.addSpilled(part); err != nil {
 				return nil, err
-			}
-			for _, r := range rows {
-				m.foldRow(r)
 			}
 		}
 		t.parts = nil
 	}
-	results := make([]sqltypes.Row, 0, len(m.order))
-	for _, g := range m.order {
-		results = append(results, g.finalize(aggs))
-	}
-	return results, nil
+	return m.finalize(nil), nil
 }
 
-// mergeGroup folds one worker group's partial states into the merge table.
-func (t *aggTable) mergeGroup(src *aggGroup) {
-	if t.scalarGroup != nil {
-		t.scalarGroup.merge(t.aggs, src)
-		return
+// merge folds every group of src, a table over the same input and
+// aggregates, into t.
+func (t *aggTable) merge(src *aggTable) {
+	for g := 0; g < src.ngroups; g++ {
+		id := int32(0) // scalar aggregation: the one group
+		if t.keys != nil {
+			var isNew bool
+			if id, isNew = t.keys.insertFrom(src.keys, int32(g)); isNew {
+				t.addGroup()
+			}
+		}
+		for k := range t.accs {
+			t.accs[k][id].merge(&src.accs[k][g])
+		}
 	}
-	key := string(exec.EncodeKey(nil, src.keyVals))
-	grp := t.groups[key]
-	if grp == nil {
-		grp = newAggGroup(t.aggs, src.keyVals)
-		t.groups[key] = grp
-		t.order = append(t.order, grp)
-	}
-	grp.merge(t.aggs, src)
-}
-
-// foldRow folds one materialized (spill-replayed) row into the table through
-// the generic path, without grant accounting: by merge time the workers'
-// grants are already charged, and the merged group set is bounded by the
-// union of what the workers held.
-func (t *aggTable) foldRow(r sqltypes.Row) {
-	if t.scalarGroup != nil {
-		t.scalarGroup.add(t.aggs, r)
-		return
-	}
-	for c, g := range t.groupBy {
-		t.keyVals[c] = r[g]
-	}
-	key := string(exec.EncodeKey(nil, t.keyVals))
-	grp := t.groups[key]
-	if grp == nil {
-		grp = newAggGroup(t.aggs, t.keyVals.Clone())
-		t.groups[key] = grp
-		t.order = append(t.order, grp)
-	}
-	grp.add(t.aggs, r)
 }
 
 // --- Partitioned parallel hash join runtime ---
-
-// exchangeHashNull is the hash contribution of a NULL key: NULLs never match,
-// but outer joins must still route the row somewhere deterministic.
-const exchangeHashNull = 0x9e3779b97f4a7c15
-
-// exchangeMix folds one canonical 64-bit value into an FNV-1a accumulator,
-// byte by byte, matching hashString's dispersion.
-func exchangeMix(acc, v uint64) uint64 {
-	for s := uint(0); s < 64; s += 8 {
-		acc = (acc ^ ((v >> s) & 0xff)) * 1099511628211
-	}
-	return acc
-}
-
-// rowPartitioner returns a row→partition map over the given key columns. The
-// hash must agree between the build and probe sides for equal key values
-// regardless of physical representation, mirroring exec.EncodeKey's
-// canonical forms: dict-coded strings hash their decoded value (memoized per
-// dictionary code — one decode per distinct value, not per row), and
-// integral floats hash like ints. NULL keys land in partition 0, like the
-// grace-hash partitioner.
-func rowPartitioner(vecs []*vector.Vector, keys []int, nParts int) func(i int) int {
-	hashers := make([]func(i int) (uint64, bool), len(keys))
-	for ki, c := range keys {
-		v := vecs[c]
-		switch {
-		case v.Typ == sqltypes.String && v.IsCoded():
-			memo := make([]uint64, len(v.DictVals))
-			have := make([]bool, len(v.DictVals))
-			vals := v.DictVals
-			hashers[ki] = func(i int) (uint64, bool) {
-				if v.IsNull(i) {
-					return 0, true
-				}
-				code := v.Codes[i]
-				if !have[code] {
-					memo[code] = hashString(vals[code])
-					have[code] = true
-				}
-				return memo[code], false
-			}
-		case v.Typ == sqltypes.String:
-			hashers[ki] = func(i int) (uint64, bool) {
-				if v.IsNull(i) {
-					return 0, true
-				}
-				return hashString(v.StrAt(i)), false
-			}
-		case v.Typ == sqltypes.Float64:
-			hashers[ki] = func(i int) (uint64, bool) {
-				if v.IsNull(i) {
-					return 0, true
-				}
-				f := v.F64[i]
-				if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
-					return uint64(int64(f)), false
-				}
-				return math.Float64bits(f), false
-			}
-		default: // Int64, Date, Bool
-			hashers[ki] = func(i int) (uint64, bool) {
-				if v.IsNull(i) {
-					return 0, true
-				}
-				return uint64(v.I64[i]), false
-			}
-		}
-	}
-	return func(i int) int {
-		var acc uint64 = 14695981039346656037
-		for _, h := range hashers {
-			hv, null := h(i)
-			if null {
-				return 0
-			}
-			acc = exchangeMix(acc, hv)
-		}
-		// High bits: the low bits feed the in-memory hash tables and the
-		// grace-hash spill partitioner uses >>57.
-		return int(acc>>33) % nParts
-	}
-}
 
 // parallelJoin is the runtime state of a partitioned parallel probe phase:
 // splitter goroutines pull probe batches from the worker pipes and route
@@ -465,10 +349,8 @@ func (h *HashJoin) startParallel(ctx context.Context, build *buildSide) error {
 	nParts := h.Parallel
 
 	// Partition build rows by key hash; each partition gets a private core.
-	part := rowPartitioner(build.cols, h.BuildKeys, nParts)
 	idxs := make([][]int32, nParts)
-	for i := 0; i < build.len; i++ {
-		p := part(i)
+	for i, p := range newRouter(len(h.BuildKeys)).route(build.cols, h.BuildKeys, build.len, nParts, nil) {
 		idxs[p] = append(idxs[p], int32(i))
 	}
 	bs := h.Build.Schema()
@@ -584,6 +466,7 @@ func (h *HashJoin) splitProbe(ctx context.Context, pj *parallelJoin, pipe Operat
 	defer pipe.Close()
 	nParts := len(route)
 	schema := pipe.Schema()
+	router := newRouter(len(h.ProbeKeys))
 	var pbuf []int32
 	for {
 		if ctx.Err() != nil {
@@ -604,15 +487,10 @@ func (h *HashJoin) splitProbe(ctx context.Context, pj *parallelJoin, pipe Operat
 		if n == 0 {
 			continue
 		}
-		part := rowPartitioner(b.Vecs, h.ProbeKeys, nParts)
-		if cap(pbuf) < n {
-			pbuf = make([]int32, n)
-		}
-		pbuf = pbuf[:n]
+		pbuf = router.route(b.Vecs, h.ProbeKeys, n, nParts, pbuf)
 		uniform := true
-		for i := 0; i < n; i++ {
-			pbuf[i] = int32(part(i))
-			uniform = uniform && pbuf[i] == pbuf[0]
+		for _, p := range pbuf {
+			uniform = uniform && p == pbuf[0]
 		}
 		if uniform {
 			// Whole batch owned by one partition: forward it without copying.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"apollo/internal/encoding"
 	"apollo/internal/exec"
 	"apollo/internal/exec/rowexec"
 	"apollo/internal/expr"
@@ -72,8 +73,9 @@ func loadColdTable(t *testing.T, rows []sqltypes.Row) (*table.Table, *storage.St
 }
 
 // Property: parallel partial/final aggregation matches the serial HashAgg on
-// every grouping shape — integer fast path, string (dict-code) fast path,
-// scalar aggregation, and the generic multi-key path — at every DOP.
+// every grouping shape — integer, string and multi-column keys and scalar
+// aggregation over one table, then every key shape over the two-dictionary
+// union — at every DOP, and under a grant small enough to spill.
 func TestParallelAggParityShapes(t *testing.T) {
 	rows := makeRows(6000, 31)
 	tb := loadTable(t, rows)
@@ -107,7 +109,26 @@ func TestParallelAggParityShapes(t *testing.T) {
 		for _, dop := range exchangeDOPs {
 			pagg := parallelAggOver(NewScan(tb.Snapshot(), sh.cols), dop, sh.groupBy, sh.keys, sh.aggs)
 			got := drainRows(t, pagg)
-			assertSameRows(t, fmt.Sprintf("%s dop=%d", sh.name, dop), got, want)
+			assertSameSums(t, fmt.Sprintf("%s dop=%d", sh.name, dop), got, want)
+		}
+	}
+
+	a, b := twoDictTables(t, 3000, 33, []string{"north", "south", "east", "west", "axis", "blade"})
+	for _, sh := range keyShapes {
+		want := drainRows(t, NewHashAgg(batchUnion(a, b), sh.keys, keyNames(sh.keys), catAggs))
+		for _, dop := range exchangeDOPs {
+			for _, grant := range []int64{0, 1 << 10} {
+				pagg := parallelAggOver(batchUnion(a, b), dop, sh.keys, keyNames(sh.keys), catAggs)
+				if grant > 0 {
+					pagg.Tracker = NewTracker(grant)
+					pagg.SpillStore = storage.NewStore(0)
+				}
+				got := drainRows(t, pagg)
+				if grant > 0 && pagg.Tracker.Spills() == 0 {
+					t.Fatalf("%s dop=%d: parallel aggregation did not spill under a 1 KiB grant", sh.name, dop)
+				}
+				assertSameRows(t, fmt.Sprintf("%s dop=%d grant=%d", sh.name, dop, grant), got, want)
+			}
 		}
 	}
 }
@@ -296,29 +317,133 @@ func TestSharedSourceStickiness(t *testing.T) {
 }
 
 // Property: the partitioned parallel hash join matches the serial join for
-// every join type on string keys across two distinct dictionaries (the
-// cross-dictionary translation path), at every DOP.
+// every join type and key shape — string keys across two distinct
+// dictionaries, int keys against float keys, multi-column keys — at every
+// DOP.
 func TestParallelJoinParityTypes(t *testing.T) {
 	probeCats := []string{"north", "south", "east", "west", "inland", "offshore"}
 	buildCats := []string{"east", "west", "inland", "highland", "lowland"}
 	ptb := loadStrTable(t, makeStrRows(1500, 701, probeCats))
 	btb := loadStrTable(t, makeStrRows(500, 703, buildCats))
 
-	mkJoin := func(jt exec.JoinType, dop int) *HashJoin {
-		j, err := NewHashJoin(
-			NewScan(ptb.Snapshot(), []int{0, 1}), NewScan(btb.Snapshot(), []int{1, 2}),
-			[]int{1}, []int{0}, jt, nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, sh := range joinShapes {
+		for _, jt := range joinTypes {
+			want := drainRows(t, batchJoin(t, ptb, btb, sh.probeKeys, sh.buildKeys, jt, 0, 0))
+			for _, dop := range exchangeDOPs {
+				got := drainRows(t, batchJoin(t, ptb, btb, sh.probeKeys, sh.buildKeys, jt, dop, 0))
+				assertSameRows(t, fmt.Sprintf("%s %v dop=%d", sh.name, jt, dop), got, want)
+			}
 		}
-		j.Parallel = dop
-		return j
 	}
-	for _, jt := range []exec.JoinType{exec.Inner, exec.LeftOuter, exec.RightOuter, exec.FullOuter, exec.LeftSemi, exec.LeftAnti} {
-		want := drainRows(t, mkJoin(jt, 0))
-		for _, dop := range exchangeDOPs {
-			got := drainRows(t, mkJoin(jt, dop))
-			assertSameRows(t, fmt.Sprintf("%v dop=%d", jt, dop), got, want)
+}
+
+// Equal key values route to the same partition, and get the same id in a key
+// table, whatever their representation: integer-family values and integral
+// floats by integer value, strings coded under any of three dictionaries (one
+// too large for a dense code memo) or materialized, NULL keys to partition 0,
+// and multi-column keys column by column.
+func TestRouteRepresentationIndependent(t *testing.T) {
+	d1, d2, d3 := encoding.NewDict(), encoding.NewDict(), encoding.NewDict()
+	d2.Add("padding") // shifts every code of d2 against d1
+	for i := 0; i <= memoDictLimit; i++ {
+		d3.Add(fmt.Sprintf("padding%d", i))
+	}
+	for _, s := range []string{"east", "west"} {
+		d1.Add(s)
+		d2.Add(s)
+		d3.Add(s)
+	}
+	num := func(typ sqltypes.Type, x float64) *vector.Vector {
+		v := vector.NewVector(typ, 1)
+		if typ == sqltypes.Float64 {
+			v.F64[0] = x
+		} else {
+			v.I64[0] = int64(x)
+		}
+		return v
+	}
+	str := func(d *encoding.Dict, s string) *vector.Vector {
+		v := vector.NewVector(sqltypes.String, 1)
+		if d == nil {
+			v.Str[0] = s
+			return v
+		}
+		id, _ := d.Lookup(s)
+		v.MakeCoded(d, d.SnapshotValues(), 1)
+		v.Codes[0] = uint64(id)
+		return v
+	}
+	null := func(typ sqltypes.Type) *vector.Vector {
+		v := vector.NewVector(typ, 1)
+		v.SetNull(0)
+		return v
+	}
+	cases := []struct {
+		name string
+		reps [][]*vector.Vector // key columns, one row each; all equal keys
+	}{
+		{"7", [][]*vector.Vector{{num(sqltypes.Int64, 7)}, {num(sqltypes.Float64, 7)}, {num(sqltypes.Date, 7)}}},
+		{"1", [][]*vector.Vector{{num(sqltypes.Int64, 1)}, {num(sqltypes.Bool, 1)}, {num(sqltypes.Float64, 1)}}},
+		{"-3", [][]*vector.Vector{{num(sqltypes.Int64, -3)}, {num(sqltypes.Float64, -3)}}},
+		{"2.5", [][]*vector.Vector{{num(sqltypes.Float64, 2.5)}, {num(sqltypes.Float64, 2.5)}}},
+		{"east", [][]*vector.Vector{{str(nil, "east")}, {str(d1, "east")}, {str(d2, "east")}, {str(d3, "east")}}},
+		{"west", [][]*vector.Vector{{str(d3, "west")}, {str(nil, "west")}, {str(d1, "west")}, {str(d2, "west")}}},
+		{"NULL", [][]*vector.Vector{{null(sqltypes.Int64)}, {null(sqltypes.Float64)}, {null(sqltypes.String)}}},
+		{"east,4", [][]*vector.Vector{
+			{str(d1, "east"), num(sqltypes.Int64, 4)},
+			{str(nil, "east"), num(sqltypes.Float64, 4)},
+			{str(d2, "east"), num(sqltypes.Date, 4)},
+			{str(d3, "east"), num(sqltypes.Int64, 4)},
+		}},
+		{"west,NULL", [][]*vector.Vector{
+			{str(d1, "west"), null(sqltypes.Int64)},
+			{str(d2, "west"), null(sqltypes.Float64)},
+		}},
+	}
+	allCols := func(rep []*vector.Vector) []int {
+		cols := make([]int, len(rep))
+		for c := range cols {
+			cols[c] = c
+		}
+		return cols
+	}
+	for _, nParts := range []int{2, 3, 8} {
+		seen := map[int32]bool{}
+		for _, tc := range cases {
+			var want int32
+			for i, rep := range tc.reps {
+				got := newRouter(len(rep)).route(rep, allCols(rep), 1, nParts, nil)[0]
+				if i == 0 {
+					want = got
+				} else if got != want {
+					t.Errorf("nParts=%d key %s: representation %d routes to %d, representation 0 to %d", nParts, tc.name, i, got, want)
+				}
+			}
+			if tc.name == "NULL" || tc.name == "west,NULL" {
+				if want != 0 {
+					t.Errorf("nParts=%d key %s routes to %d, want 0", nParts, tc.name, want)
+				}
+				continue
+			}
+			seen[want] = true
+		}
+		if nParts == 8 && len(seen) < 2 {
+			t.Errorf("every non-NULL key routes to one of %d partitions", nParts)
+		}
+	}
+	for _, tc := range cases {
+		keys := newKeyTable(len(tc.reps[0]))
+		for i, rep := range tc.reps {
+			if i > 0 {
+				keys.load(rep, allCols(rep), 0, 1, false)
+				if id := keys.find(0); id != 0 {
+					t.Errorf("key %s: representation %d finds id %d, want 0", tc.name, i, id)
+				}
+			}
+			keys.load(rep, allCols(rep), 0, 1, true)
+			if id, _ := keys.insert(0); id != 0 {
+				t.Errorf("key %s: representation %d inserts as id %d, want 0", tc.name, i, id)
+			}
 		}
 	}
 }
@@ -399,37 +524,28 @@ func TestParallelSelfJoinParity(t *testing.T) {
 }
 
 // Property: when the build side overflows its memory grant, a Parallel join
-// falls back to the serial grace-hash spill path and stays correct.
+// falls back to the serial grace-hash spill path and stays correct for every
+// join type and key shape.
 func TestParallelJoinSpillFallbackParity(t *testing.T) {
 	cats := []string{"red", "orange", "yellow", "green", "blue"}
 	ptb := loadStrTable(t, makeStrRows(1200, 829, cats))
 	btb := loadStrTable(t, makeStrRows(600, 839, cats))
 
-	mk := func(dop int, grant int64) *HashJoin {
-		j, err := NewHashJoin(
-			NewScan(ptb.Snapshot(), []int{0, 1}), NewScan(btb.Snapshot(), []int{1, 2}),
-			[]int{1}, []int{0}, exec.FullOuter, nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, sh := range joinShapes {
+		for _, jt := range joinTypes {
+			want := drainRows(t, batchJoin(t, ptb, btb, sh.probeKeys, sh.buildKeys, jt, 0, 0))
+			for _, dop := range []int{1, 2, 8} {
+				j := batchJoin(t, ptb, btb, sh.probeKeys, sh.buildKeys, jt, dop, 1<<10)
+				got := drainRows(t, j)
+				if j.Tracker.Spills() == 0 {
+					t.Fatalf("%s %v dop=%d: join did not spill under a 1 KiB grant", sh.name, jt, dop)
+				}
+				if j.par != nil {
+					t.Fatalf("%s %v dop=%d: spilled join still holds parallel probe state", sh.name, jt, dop)
+				}
+				assertSameRows(t, fmt.Sprintf("%s %v spill fallback dop=%d", sh.name, jt, dop), got, want)
+			}
 		}
-		j.Parallel = dop
-		if grant > 0 {
-			j.Tracker = NewTracker(grant)
-			j.SpillStore = storage.NewStore(0)
-		}
-		return j
-	}
-	want := drainRows(t, mk(0, 0))
-	for _, dop := range []int{2, 8} {
-		j := mk(dop, 1<<10)
-		got := drainRows(t, j)
-		if j.Tracker.Spills() == 0 {
-			t.Fatalf("dop=%d: join did not spill under a 1 KiB grant", dop)
-		}
-		if j.par != nil {
-			t.Fatalf("dop=%d: spilled join still holds parallel probe state", dop)
-		}
-		assertSameRows(t, fmt.Sprintf("spill fallback dop=%d", dop), got, want)
 	}
 }
 

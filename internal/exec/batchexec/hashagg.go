@@ -2,8 +2,8 @@ package batchexec
 
 import (
 	"context"
+	"slices"
 
-	"apollo/internal/encoding"
 	"apollo/internal/exec"
 	"apollo/internal/sqltypes"
 	"apollo/internal/storage"
@@ -57,139 +57,96 @@ func aggOutputSchema(in *sqltypes.Schema, groupBy []int, names []string, aggs []
 // Schema implements Operator.
 func (h *HashAgg) Schema() *sqltypes.Schema { return h.schema }
 
-// aggGroup is one group's accumulators.
-type aggGroup struct {
-	keyVals sqltypes.Row
-	states  []aggAcc
-}
-
-// aggAcc accumulates one aggregate.
+// aggAcc accumulates one aggregate of one group.
 type aggAcc struct {
 	count    int64
 	sumI     int64
 	sumF     float64
 	min, max sqltypes.Value
 	seen     bool
-	distinct map[string]bool
 }
 
-func newAggGroup(aggs []exec.AggSpec, keyVals sqltypes.Row) *aggGroup {
-	g := &aggGroup{keyVals: keyVals, states: make([]aggAcc, len(aggs))}
-	for i, spec := range aggs {
-		if spec.Distinct {
-			g.states[i].distinct = make(map[string]bool)
+// add folds one non-NULL value into the state for Min/Max/Count (Sum/Avg use
+// the vectorized loops; callers have already bumped count except for Min/Max
+// paths that share this helper).
+func (st *aggAcc) add(kind exec.AggKind, v sqltypes.Value) {
+	switch kind {
+	case exec.Sum, exec.Avg:
+		st.sumI += v.I
+		st.sumF += v.AsFloat()
+	case exec.Min:
+		if !st.seen || sqltypes.Compare(v, st.min) < 0 {
+			st.min = v
+		}
+	case exec.Max:
+		if !st.seen || sqltypes.Compare(v, st.max) > 0 {
+			st.max = v
 		}
 	}
-	return g
+	st.seen = true
 }
 
-func (g *aggGroup) add(aggs []exec.AggSpec, row sqltypes.Row) {
-	for i := range aggs {
-		spec := &aggs[i]
-		st := &g.states[i]
-		if spec.Kind == exec.CountStar {
-			st.count++
-			continue
+// merge folds another partial state of the same aggregate into st. Counts and
+// sums add; min/max compare under the seen flags. DISTINCT states are not
+// mergeable (see ParallelizableAggs), so merge is only reached for specs
+// without them.
+func (st *aggAcc) merge(o *aggAcc) {
+	st.count += o.count
+	st.sumI += o.sumI
+	st.sumF += o.sumF
+	if o.seen {
+		if !st.seen || sqltypes.Compare(o.min, st.min) < 0 {
+			st.min = o.min
 		}
-		v := spec.Arg.Eval(row)
-		if v.Null {
-			continue
-		}
-		if st.distinct != nil {
-			key := string(exec.EncodeKey(nil, []sqltypes.Value{v}))
-			if st.distinct[key] {
-				continue
-			}
-			st.distinct[key] = true
-		}
-		st.count++
-		switch spec.Kind {
-		case exec.Sum, exec.Avg:
-			st.sumI += v.I
-			st.sumF += v.AsFloat()
-		case exec.Min:
-			if !st.seen || sqltypes.Compare(v, st.min) < 0 {
-				st.min = v
-			}
-		case exec.Max:
-			if !st.seen || sqltypes.Compare(v, st.max) > 0 {
-				st.max = v
-			}
+		if !st.seen || sqltypes.Compare(o.max, st.max) > 0 {
+			st.max = o.max
 		}
 		st.seen = true
 	}
 }
 
-// merge folds another group's partial accumulator states into g. Counts and
-// sums add; min/max compare under the seen flags. DISTINCT states are not
-// mergeable (see ParallelizableAggs), so merge is only reached for specs
-// without them.
-func (g *aggGroup) merge(aggs []exec.AggSpec, o *aggGroup) {
-	for i := range aggs {
-		st, os := &g.states[i], &o.states[i]
-		st.count += os.count
-		st.sumI += os.sumI
-		st.sumF += os.sumF
-		if os.seen {
-			if !st.seen || sqltypes.Compare(os.min, st.min) < 0 {
-				st.min = os.min
-			}
-			if !st.seen || sqltypes.Compare(os.max, st.max) > 0 {
-				st.max = os.max
-			}
-			st.seen = true
-		}
-	}
-}
-
-func (g *aggGroup) finalize(aggs []exec.AggSpec) sqltypes.Row {
-	out := make(sqltypes.Row, 0, len(g.keyVals)+len(aggs))
-	out = append(out, g.keyVals...)
-	for i := range aggs {
-		spec := &aggs[i]
-		st := &g.states[i]
-		switch spec.Kind {
-		case exec.CountStar, exec.Count:
-			out = append(out, sqltypes.NewInt(st.count))
-		case exec.Sum:
-			switch {
-			case st.count == 0:
-				out = append(out, sqltypes.NewNull(spec.ResultType()))
-			case spec.ResultType() == sqltypes.Float64:
-				out = append(out, sqltypes.NewFloat(st.sumF))
-			default:
-				out = append(out, sqltypes.NewInt(st.sumI))
-			}
-		case exec.Avg:
-			if st.count == 0 {
-				out = append(out, sqltypes.NewNull(sqltypes.Float64))
-			} else {
-				out = append(out, sqltypes.NewFloat(st.sumF/float64(st.count)))
-			}
-		case exec.Min:
-			if !st.seen {
-				out = append(out, sqltypes.NewNull(spec.ResultType()))
-			} else {
-				out = append(out, st.min)
-			}
+func (st *aggAcc) result(spec *exec.AggSpec) sqltypes.Value {
+	switch spec.Kind {
+	case exec.CountStar, exec.Count:
+		return sqltypes.NewInt(st.count)
+	case exec.Sum:
+		switch {
+		case st.count == 0:
+			return sqltypes.NewNull(spec.ResultType())
+		case spec.ResultType() == sqltypes.Float64:
+			return sqltypes.NewFloat(st.sumF)
 		default:
-			if !st.seen {
-				out = append(out, sqltypes.NewNull(spec.ResultType()))
-			} else {
-				out = append(out, st.max)
-			}
+			return sqltypes.NewInt(st.sumI)
 		}
+	case exec.Avg:
+		if st.count == 0 {
+			return sqltypes.NewNull(sqltypes.Float64)
+		}
+		return sqltypes.NewFloat(st.sumF / float64(st.count))
+	case exec.Min:
+		if !st.seen {
+			return sqltypes.NewNull(spec.ResultType())
+		}
+		return st.min
+	default:
+		if !st.seen {
+			return sqltypes.NewNull(spec.ResultType())
+		}
+		return st.max
 	}
-	return out
 }
 
 const aggSpillPartitions = 8
 
-// aggTable holds the grouping and accumulation state of one hash aggregation:
-// the generic encoded-key group map, the single-column fast paths (integer
-// keys, dict-code string keys), the NULL and scalar groups, and the spill
-// partitions. HashAgg drives one table over its whole input; ParallelAgg
-// drives one table per exchange worker and merges them (mergeAggTables).
+// distinctCols are the key columns of a DISTINCT aggregate's seen-set:
+// (group id, argument value).
+var distinctCols = []int{0, 1}
+
+// aggTable holds the grouping and accumulation state of one hash aggregation.
+// A keyTable maps each group key to a dense group id, and every aggregate
+// keeps its accumulators in an array indexed by that id. HashAgg drives one
+// table over its whole input; ParallelAgg drives one table per exchange
+// worker and merges them (mergeAggTables).
 type aggTable struct {
 	aggs       []exec.AggSpec
 	groupBy    []int
@@ -197,328 +154,147 @@ type aggTable struct {
 	tracker    *Tracker
 	spillStore *storage.Store
 
-	groups      map[string]*aggGroup
-	intGroups   map[int64]*aggGroup
-	nullGroup   *aggGroup
-	scalarGroup *aggGroup
-	order       []*aggGroup
-	parts       []*spillPartition
-	spilling    bool
-	reserved    int64
-
-	// Fast path state: fastInt applies to a single integer-family group
-	// column; fastStr to a single string group column. Dict-coded batches
-	// group on raw dictionary codes — a dense array when the dictionary is
-	// small, a code-keyed map otherwise — and no group key is decoded except
-	// once when its group is created. Materialized rows (delta store,
-	// fallback segments) bridge into the same groups via a dictionary lookup,
-	// falling back to a string-keyed map for values the shared dictionary has
-	// never seen; this is sound because dictionary ids are stable, so code
-	// and string identify a group interchangeably.
-	fastInt   bool
-	fastStr   bool
-	strGroups map[string]*aggGroup
-	codeMap   map[uint64]*aggGroup
-	codeArr   []*aggGroup
-	codedDict *encoding.Dict
-	codedVals []string
+	keys     *keyTable   // group key -> group id; nil for scalar aggregation
+	ngroups  int         // scalar aggregation has its one group from the start
+	accs     [][]aggAcc  // accs[k][g]: aggregate k of group g
+	distinct []*keyTable // per DISTINCT aggregate: the (group id, value) pairs seen
+	parts    []*spillPartition
+	router   *keyTable // picks a spilled row's partition
+	spilling bool
+	reserved int64
+	strBytes int64 // interned key bytes already charged to the grant
 
 	// Per-batch scratch.
-	keyVals sqltypes.Row
-	ptrs    []*aggGroup
-	argVecs []*vector.Vector
+	gids         []int32 // group id per row; -1 = spilled
+	spillTo      []int32 // spill partition per row
+	distinctVecs []*vector.Vector
+	argVecs      []*vector.Vector
 }
-
-const denseDictLimit = 1 << 14
 
 func newAggTable(inSchema *sqltypes.Schema, groupBy []int, aggs []exec.AggSpec, tracker *Tracker, spillStore *storage.Store) *aggTable {
 	t := &aggTable{
-		aggs:       aggs,
-		groupBy:    groupBy,
-		inSchema:   inSchema,
-		tracker:    tracker,
-		spillStore: spillStore,
-		groups:     make(map[string]*aggGroup),
-		keyVals:    make(sqltypes.Row, len(groupBy)),
-		argVecs:    make([]*vector.Vector, len(aggs)),
+		aggs:         aggs,
+		groupBy:      groupBy,
+		inSchema:     inSchema,
+		tracker:      tracker,
+		spillStore:   spillStore,
+		accs:         make([][]aggAcc, len(aggs)),
+		distinct:     make([]*keyTable, len(aggs)),
+		distinctVecs: []*vector.Vector{{Typ: sqltypes.Int64}, nil},
+		argVecs:      make([]*vector.Vector, len(aggs)),
 	}
-	t.fastInt = len(groupBy) == 1 && inSchema.Cols[groupBy[0]].Typ != sqltypes.Float64 &&
-		inSchema.Cols[groupBy[0]].Typ != sqltypes.String
-	if t.fastInt {
-		t.intGroups = make(map[int64]*aggGroup)
-	}
-	t.fastStr = len(groupBy) == 1 && inSchema.Cols[groupBy[0]].Typ == sqltypes.String
-	if t.fastStr {
-		t.strGroups = make(map[string]*aggGroup)
-	}
-	if len(groupBy) == 0 {
-		t.scalarGroup = newAggGroup(aggs, nil)
-		t.order = append(t.order, t.scalarGroup)
+	if len(groupBy) > 0 {
+		t.keys = newKeyTable(len(groupBy))
+	} else {
+		t.addGroup()
 	}
 	for i, spec := range aggs {
 		if spec.Arg != nil {
 			t.argVecs[i] = vector.NewVector(spec.Arg.Type(), vector.DefaultBatchSize)
 		}
+		if spec.Distinct {
+			t.distinct[i] = newKeyTable(len(distinctCols))
+		}
 	}
 	return t
 }
 
-func (t *aggTable) lookupCode(code uint64) *aggGroup {
-	if t.codeArr != nil {
-		if code < uint64(len(t.codeArr)) {
-			return t.codeArr[code]
+func (t *aggTable) addGroup() {
+	t.ngroups++
+	for k := range t.accs {
+		t.accs[k] = append(t.accs[k], aggAcc{})
+	}
+}
+
+// admit reserves the grant for one new group, together with the key strings
+// interned since the last charge. When the grant is exhausted and a spill
+// store is set, the table starts spilling instead and admit reports false;
+// without a spill store the group is admitted unreserved.
+func (t *aggTable) admit() bool {
+	cost := int64(64+8*t.keys.width+64*len(t.aggs)) + t.keys.strBytes - t.strBytes
+	switch {
+	case t.tracker.TryReserve(cost):
+		t.reserved += cost
+		t.strBytes = t.keys.strBytes
+	case t.spillStore != nil:
+		t.tracker.NoteSpill()
+		t.spilling = true
+		t.router = newRouter(len(t.groupBy))
+		t.parts = make([]*spillPartition, aggSpillPartitions)
+		for j := range t.parts {
+			t.parts[j] = newSpillPartition(t.spillStore, t.inSchema)
 		}
-		return nil
+		return false
 	}
-	return t.codeMap[code]
-}
-
-func (t *aggTable) storeCode(code uint64, g *aggGroup) {
-	if t.codeArr != nil {
-		if code >= uint64(len(t.codeArr)) {
-			if code < denseDictLimit {
-				na := make([]*aggGroup, code+1+code/2)
-				copy(na, t.codeArr)
-				t.codeArr = na
-			} else {
-				// Dictionary outgrew the dense range: degrade to a map.
-				t.codeMap = make(map[uint64]*aggGroup, len(t.codeArr))
-				for c, gr := range t.codeArr {
-					if gr != nil {
-						t.codeMap[uint64(c)] = gr
-					}
-				}
-				t.codeArr = nil
-				t.codeMap[code] = g
-				return
-			}
-		}
-		t.codeArr[code] = g
-		return
-	}
-	t.codeMap[code] = g
-}
-
-func (t *aggTable) startSpilling() {
-	t.spilling = true
-	t.parts = make([]*spillPartition, aggSpillPartitions)
-	for j := range t.parts {
-		t.parts[j] = newSpillPartition(t.spillStore, t.inSchema)
-	}
-}
-
-// spillRow routes physical row i of a (compacted) batch to a partition by
-// group-key hash; the partition writes dict-coded cells as raw codes.
-func (t *aggTable) spillRow(b *vector.Batch, i int, key string) error {
-	part := int(hashString(key)>>57) % aggSpillPartitions
-	return t.parts[part].addBatchRow(b, i)
+	return true
 }
 
 // addBatch folds one compacted batch into the table. Aggregation is
-// vectorized: group pointers are resolved per batch (with the single-column
-// fast paths), each aggregate argument is evaluated once per batch into a
-// vector, and accumulation runs in tight loops over the vector payloads.
+// vectorized: the group ids of all rows are resolved through the key table
+// first, each aggregate argument is evaluated once per batch into a vector,
+// and accumulation runs in tight loops over the vector payloads. Once the
+// grant is exhausted, rows of groups not yet in memory spill instead.
 func (t *aggTable) addBatch(b *vector.Batch) error {
 	b.Compact()
 	n := b.NumRows()
 	if n == 0 {
 		return nil
 	}
-	if cap(t.ptrs) < n {
-		t.ptrs = make([]*aggGroup, n)
-	}
-	ptrs := t.ptrs[:n]
-
-	// Resolve the group of every row.
-	switch {
-	case t.scalarGroup != nil:
-		for i := range ptrs {
-			ptrs[i] = t.scalarGroup
+	t.gids = slices.Grow(t.gids[:0], n)[:n]
+	gids := t.gids
+	if t.keys == nil {
+		clear(gids)
+	} else {
+		t.keys.load(b.Vecs, t.groupBy, 0, n, !t.spilling)
+		spilled := false
+		for i := range gids {
+			g := t.keys.find(i)
+			if g < 0 && !t.spilling && t.admit() {
+				g, _ = t.keys.insert(i)
+				t.addGroup()
+			}
+			gids[i] = g
+			spilled = spilled || g < 0
 		}
-	case t.fastInt:
-		mAggBatchesFastInt.Inc()
-		vec := b.Vecs[t.groupBy[0]]
-		typ := t.inSchema.Cols[t.groupBy[0]].Typ
-		for i := 0; i < n; i++ {
-			if vec.IsNull(i) {
-				if t.nullGroup == nil {
-					cost := int64(64 + 64*len(t.aggs))
-					if !t.tracker.TryReserve(cost) && t.spillStore != nil {
-						// A single NULL group is cheap; charge it anyway.
-						t.tracker.Release(0)
-					} else {
-						t.reserved += cost
-					}
-					t.nullGroup = newAggGroup(t.aggs, sqltypes.Row{sqltypes.NewNull(typ)})
-					t.order = append(t.order, t.nullGroup)
-				}
-				ptrs[i] = t.nullGroup
-				continue
+		if spilled {
+			if err := t.spill(b, gids); err != nil {
+				return err
 			}
-			k := vec.I64[i]
-			grp := t.intGroups[k]
-			if grp == nil {
-				if t.spilling {
-					t.keyVals[0] = sqltypes.Value{Typ: typ, I: k}
-					if err := t.spillRow(b, i, string(exec.EncodeKey(nil, t.keyVals))); err != nil {
-						return err
-					}
-					ptrs[i] = nil
-					continue
-				}
-				cost := int64(64 + 64*len(t.aggs))
-				if !t.tracker.TryReserve(cost) && t.spillStore != nil {
-					t.tracker.NoteSpill()
-					t.startSpilling()
-					t.keyVals[0] = sqltypes.Value{Typ: typ, I: k}
-					if err := t.spillRow(b, i, string(exec.EncodeKey(nil, t.keyVals))); err != nil {
-						return err
-					}
-					ptrs[i] = nil
-					continue
-				}
-				t.reserved += cost
-				grp = newAggGroup(t.aggs, sqltypes.Row{{Typ: typ, I: k}})
-				t.intGroups[k] = grp
-				t.order = append(t.order, grp)
-			}
-			ptrs[i] = grp
-		}
-	case t.fastStr:
-		vec := b.Vecs[t.groupBy[0]]
-		if vec.IsCoded() {
-			if t.codedDict == nil {
-				t.codedDict = vec.Dict
-				t.codedVals = vec.DictVals
-				if len(t.codedVals) <= denseDictLimit {
-					t.codeArr = make([]*aggGroup, len(t.codedVals))
-				} else {
-					t.codeMap = make(map[uint64]*aggGroup, 1024)
-				}
-			} else if vec.Dict == t.codedDict && len(vec.DictVals) > len(t.codedVals) {
-				t.codedVals = vec.DictVals
-			}
-		}
-		sameDict := vec.IsCoded() && vec.Dict == t.codedDict
-		if sameDict {
-			mAggBatchesCoded.Inc()
-		} else {
-			mAggBatchesStr.Inc()
-		}
-		for i := 0; i < n; i++ {
-			if vec.IsNull(i) {
-				if t.nullGroup == nil {
-					cost := int64(64 + 64*len(t.aggs))
-					if !t.tracker.TryReserve(cost) && t.spillStore != nil {
-						t.tracker.Release(0)
-					} else {
-						t.reserved += cost
-					}
-					t.nullGroup = newAggGroup(t.aggs, sqltypes.Row{sqltypes.NewNull(sqltypes.String)})
-					t.order = append(t.order, t.nullGroup)
-				}
-				ptrs[i] = t.nullGroup
-				continue
-			}
-			var code uint64
-			var s string
-			haveCode := false
-			if sameDict {
-				code = vec.Codes[i]
-				haveCode = true
-			} else {
-				s = vec.StrAt(i)
-				if t.codedDict != nil {
-					if id, ok := t.codedDict.Lookup(s); ok {
-						code, haveCode = uint64(id), true
-					}
-				}
-			}
-			var grp *aggGroup
-			if haveCode {
-				grp = t.lookupCode(code)
-			} else {
-				grp = t.strGroups[s]
-			}
-			if grp == nil {
-				if haveCode {
-					if sameDict {
-						s = t.codedVals[code] // decode once per new group
-					}
-					// The value may already own a group created from a
-					// materialized row before any coded batch arrived.
-					if g2 := t.strGroups[s]; g2 != nil {
-						t.storeCode(code, g2)
-						ptrs[i] = g2
-						continue
-					}
-				}
-				if t.spilling {
-					if err := t.spillRow(b, i, s); err != nil {
-						return err
-					}
-					ptrs[i] = nil
-					continue
-				}
-				cost := int64(64+len(s)) + int64(64*len(t.aggs))
-				if !t.tracker.TryReserve(cost) && t.spillStore != nil {
-					t.tracker.NoteSpill()
-					t.startSpilling()
-					if err := t.spillRow(b, i, s); err != nil {
-						return err
-					}
-					ptrs[i] = nil
-					continue
-				}
-				t.reserved += cost
-				grp = newAggGroup(t.aggs, sqltypes.Row{sqltypes.NewString(s)})
-				if haveCode {
-					t.storeCode(code, grp)
-				} else {
-					t.strGroups[s] = grp
-				}
-				t.order = append(t.order, grp)
-			}
-			ptrs[i] = grp
-		}
-	default:
-		mAggBatchesGeneric.Inc()
-		for i := 0; i < n; i++ {
-			for c, g := range t.groupBy {
-				t.keyVals[c] = b.Vecs[g].Value(i)
-			}
-			key := string(exec.EncodeKey(nil, t.keyVals))
-			grp := t.groups[key]
-			if grp == nil {
-				if t.spilling {
-					if err := t.spillRow(b, i, key); err != nil {
-						return err
-					}
-					ptrs[i] = nil
-					continue
-				}
-				cost := rowBytes(t.keyVals) + int64(64*len(t.aggs))
-				if !t.tracker.TryReserve(cost) && t.spillStore != nil {
-					t.tracker.NoteSpill()
-					t.startSpilling()
-					if err := t.spillRow(b, i, key); err != nil {
-						return err
-					}
-					ptrs[i] = nil
-					continue
-				}
-				t.reserved += cost
-				grp = newAggGroup(t.aggs, t.keyVals.Clone())
-				t.groups[key] = grp
-				t.order = append(t.order, grp)
-			}
-			ptrs[i] = grp
 		}
 	}
-
-	// Accumulate each aggregate over the batch.
 	for k := range t.aggs {
-		t.accumulate(k, b, ptrs, t.argVecs[k])
+		t.accumulate(k, b, gids)
+	}
+	return nil
+}
+
+// spill writes the rows of b whose group id is -1 to the partition their
+// key's routing hash picks; dict-coded cells spill as raw codes.
+func (t *aggTable) spill(b *vector.Batch, gids []int32) error {
+	t.spillTo = t.router.route(b.Vecs, t.groupBy, len(gids), aggSpillPartitions, t.spillTo)
+	for i, g := range gids {
+		if g < 0 {
+			if err := t.parts[t.spillTo[i]].addBatchRow(b, i); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// addSpilled folds the rows of a spill partition into the table, one batch
+// at a time.
+func (t *aggTable) addSpilled(p *spillPartition) error {
+	rows, err := p.readAll()
+	if err != nil {
+		return err
+	}
+	for len(rows) > 0 {
+		n := min(len(rows), vector.DefaultBatchSize)
+		if err := t.addBatch(rowsToBatch(t.inSchema, rows[:n])); err != nil {
+			return err
+		}
+		rows = rows[n:]
 	}
 	return nil
 }
@@ -528,38 +304,36 @@ func (t *aggTable) addBatch(b *vector.Batch) error {
 // in-memory groups were created before spilling began and absorb their rows
 // directly), so partitions are aggregated independently in memory.
 func (t *aggTable) results(ctx context.Context) ([]sqltypes.Row, error) {
-	var results []sqltypes.Row
-	for _, grp := range t.order {
-		results = append(results, grp.finalize(t.aggs))
-	}
+	results := t.finalize(nil)
 	for _, part := range t.parts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rows, err := part.readAll()
-		if err != nil {
+		pt := newAggTable(t.inSchema, t.groupBy, t.aggs, nil, nil)
+		if err := pt.addSpilled(part); err != nil {
 			return nil, err
 		}
-		pgroups := make(map[string]*aggGroup)
-		var porder []*aggGroup
-		for _, r := range rows {
-			for c, g := range t.groupBy {
-				t.keyVals[c] = r[g]
-			}
-			key := string(exec.EncodeKey(nil, t.keyVals))
-			grp := pgroups[key]
-			if grp == nil {
-				grp = newAggGroup(t.aggs, t.keyVals.Clone())
-				pgroups[key] = grp
-				porder = append(porder, grp)
-			}
-			grp.add(t.aggs, r)
-		}
-		for _, grp := range porder {
-			results = append(results, grp.finalize(t.aggs))
-		}
+		results = pt.finalize(results)
 	}
 	return results, nil
+}
+
+// finalize appends one output row per group: the group key, then each
+// aggregate's result.
+func (t *aggTable) finalize(out []sqltypes.Row) []sqltypes.Row {
+	w := len(t.groupBy) + len(t.aggs)
+	vals := make([]sqltypes.Value, t.ngroups*w)
+	for g := 0; g < t.ngroups; g++ {
+		row := vals[g*w : (g+1)*w : (g+1)*w]
+		for c, col := range t.groupBy {
+			row[c] = t.keys.value(int32(g), c, t.inSchema.Cols[col].Typ)
+		}
+		for k := range t.aggs {
+			row[len(t.groupBy)+k] = t.accs[k][g].result(&t.aggs[k])
+		}
+		out = append(out, row)
+	}
+	return out
 }
 
 // release returns the table's memory grant and drops any unread spill blobs.
@@ -567,9 +341,7 @@ func (t *aggTable) release() {
 	t.tracker.Release(t.reserved)
 	t.reserved = 0
 	for _, p := range t.parts {
-		if p != nil {
-			p.drop()
-		}
+		p.drop()
 	}
 	t.parts = nil
 }
@@ -607,36 +379,41 @@ func (h *HashAgg) Open(ctx context.Context) error {
 	return h.out.Open(ctx)
 }
 
-// accumulate folds one aggregate over a batch, vectorized where the state
-// kind allows; NULL rows and spilled rows (nil group pointers) are skipped.
-func (t *aggTable) accumulate(k int, b *vector.Batch, ptrs []*aggGroup, argVec *vector.Vector) {
+// accumulate folds aggregate k over a batch, vectorized where the state kind
+// allows; NULL arguments and spilled rows (group id -1) are skipped. A
+// DISTINCT aggregate folds a value only the first time its (group, value)
+// pair enters the aggregate's seen-set.
+func (t *aggTable) accumulate(k int, b *vector.Batch, gids []int32) {
 	spec := &t.aggs[k]
-	n := b.NumRows()
+	accs := t.accs[k]
 	if spec.Kind == exec.CountStar {
-		for _, g := range ptrs {
-			if g != nil {
-				g.states[k].count++
+		for _, g := range gids {
+			if g >= 0 {
+				accs[g].count++
 			}
 		}
 		return
 	}
+	argVec := t.argVecs[k]
 	spec.Arg.EvalVec(b, argVec)
+	n := len(gids)
 
-	if spec.Distinct {
-		for i := 0; i < n; i++ {
-			g := ptrs[i]
-			if g == nil || argVec.IsNull(i) {
+	if seen := t.distinct[k]; seen != nil {
+		gv := t.distinctVecs[0]
+		gv.I64 = slices.Grow(gv.I64[:0], n)[:n]
+		for i, g := range gids {
+			gv.I64[i] = int64(g)
+		}
+		t.distinctVecs[1] = argVec
+		seen.load(t.distinctVecs, distinctCols, 0, n, true)
+		for i, g := range gids {
+			if g < 0 || argVec.IsNull(i) {
 				continue
 			}
-			st := &g.states[k]
-			v := argVec.Value(i)
-			key := string(exec.EncodeKey(nil, []sqltypes.Value{v}))
-			if st.distinct[key] {
-				continue
+			if _, isNew := seen.insert(i); isNew {
+				accs[g].count++
+				accs[g].add(spec.Kind, argVec.Value(i))
 			}
-			st.distinct[key] = true
-			st.count++
-			st.add(spec.Kind, v)
 		}
 		return
 	}
@@ -645,21 +422,21 @@ func (t *aggTable) accumulate(k int, b *vector.Batch, ptrs []*aggGroup, argVec *
 	case (spec.Kind == exec.Sum || spec.Kind == exec.Avg) && argVec.Typ != sqltypes.Float64 && argVec.Typ != sqltypes.String:
 		vals := argVec.I64[:n]
 		if argVec.HasNulls() {
-			for i, g := range ptrs {
-				if g == nil || argVec.Nulls.Get(i) {
+			for i, g := range gids {
+				if g < 0 || argVec.Nulls.Get(i) {
 					continue
 				}
-				st := &g.states[k]
+				st := &accs[g]
 				st.count++
 				st.sumI += vals[i]
 				st.sumF += float64(vals[i])
 			}
 		} else {
-			for i, g := range ptrs {
-				if g == nil {
+			for i, g := range gids {
+				if g < 0 {
 					continue
 				}
-				st := &g.states[k]
+				st := &accs[g]
 				st.count++
 				st.sumI += vals[i]
 				st.sumF += float64(vals[i])
@@ -667,52 +444,24 @@ func (t *aggTable) accumulate(k int, b *vector.Batch, ptrs []*aggGroup, argVec *
 		}
 	case (spec.Kind == exec.Sum || spec.Kind == exec.Avg) && argVec.Typ == sqltypes.Float64:
 		vals := argVec.F64[:n]
-		for i, g := range ptrs {
-			if g == nil || argVec.IsNull(i) {
+		for i, g := range gids {
+			if g < 0 || argVec.IsNull(i) {
 				continue
 			}
-			st := &g.states[k]
+			st := &accs[g]
 			st.count++
 			st.sumF += vals[i]
 		}
 	default: // Min, Max, Count over any type
-		for i, g := range ptrs {
-			if g == nil || argVec.IsNull(i) {
+		for i, g := range gids {
+			if g < 0 || argVec.IsNull(i) {
 				continue
 			}
-			st := &g.states[k]
+			st := &accs[g]
 			st.count++
 			st.add(spec.Kind, argVec.Value(i))
 		}
 	}
-}
-
-// add folds one non-NULL value into the state for Min/Max/Count (Sum/Avg use
-// the vectorized loops; callers have already bumped count except for Min/Max
-// paths that share this helper).
-func (st *aggAcc) add(kind exec.AggKind, v sqltypes.Value) {
-	switch kind {
-	case exec.Sum, exec.Avg:
-		st.sumI += v.I
-		st.sumF += v.AsFloat()
-	case exec.Min:
-		if !st.seen || sqltypes.Compare(v, st.min) < 0 {
-			st.min = v
-		}
-	case exec.Max:
-		if !st.seen || sqltypes.Compare(v, st.max) > 0 {
-			st.max = v
-		}
-	}
-	st.seen = true
-}
-
-func hashString(s string) uint64 {
-	var acc uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		acc = (acc ^ uint64(s[i])) * 1099511628211
-	}
-	return acc
 }
 
 // Next implements Operator.

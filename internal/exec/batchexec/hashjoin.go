@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"apollo/internal/bloom"
-	"apollo/internal/encoding"
 	"apollo/internal/exec"
 	"apollo/internal/expr"
 	"apollo/internal/sqltypes"
@@ -166,8 +165,8 @@ func appendBuildVec(dst, src *vector.Vector, n int) {
 	}
 }
 
-// htEntryBytes approximates per-row hash-table overhead (map entry plus
-// candidate-list slice) for the join build grant.
+// htEntryBytes approximates per-row hash-table overhead (chain link plus the
+// row's share of the key table) for the join build grant.
 const htEntryBytes = 48
 
 // batchBytes estimates a compacted batch's in-memory footprint for grant
@@ -223,16 +222,17 @@ func (h *HashJoin) drainBuild(ctx context.Context) (*buildSide, bool, error) {
 			continue
 		}
 		// The grant covers the retained columns plus the hash table about
-		// to be built over them (map entry + candidate-list overhead).
+		// to be built over them. Without a spill store a refused grant is
+		// not charged: the build proceeds unreserved.
 		sz := batchBytes(b) + htEntryBytes*int64(n)
-		if !overflow && !h.Tracker.TryReserve(sz) {
-			overflow = h.SpillStore != nil
-			if overflow {
+		if !overflow {
+			switch {
+			case h.Tracker.TryReserve(sz):
+				h.reservedBytes += sz
+			case h.SpillStore != nil:
+				overflow = true
 				h.Tracker.NoteSpill()
 			}
-		}
-		if !overflow {
-			h.reservedBytes += sz
 		}
 		for ci := range build.cols {
 			appendBuildVec(build.cols[ci], b.Vecs[ci], n)
@@ -330,167 +330,57 @@ func (h *HashJoin) Next() (*vector.Batch, error) {
 // coded), so join output is assembled with typed gather loops — coded columns
 // gather codes, never strings.
 //
-// Exactly one hash table kind is populated, chosen by the build key's type
-// and representation: htInt for a single int64-family key, htCode for a
-// single dict-coded string key (keyed on dictionary ids), htStr for a single
-// materialized string key, htGen for everything else (encoded multi-column
-// keys).
+// A keyTable maps each distinct non-NULL build key to an id, and the build
+// rows of one id form a chain (head[id], then next[row]) in ascending row
+// order. A probe row looks its key up without inserting; an absent key —
+// including any key with a NULL, or a string the build side never held — has
+// no match.
 type joinCore struct {
 	h       *HashJoin
 	build   *buildSide
 	matched []bool
+	keys    *keyTable
+	head    []int32 // first build row per key id
+	next    []int32 // next build row with the same key, -1 at the end
 
-	htInt    map[int64][]int32
-	htCode   map[uint64][]int32
-	codeDict *encoding.Dict // dictionary htCode ids belong to
-	codeVals []string       // its snapshot (covers every build code)
-	htStr    map[string][]int32
-	htGen    map[string][]int32
-	keyBuf   []byte
+	// Per-batch scratch.
+	joined             sqltypes.Row
+	probeIdx, buildIdx []int32
 }
 
 func newJoinCore(h *HashJoin, build *buildSide) *joinCore {
-	c := &joinCore{h: h, build: build, matched: make([]bool, build.len)}
 	n := build.len
-	if len(h.BuildKeys) == 1 {
-		kv := build.cols[h.BuildKeys[0]]
-		switch {
-		case c.fastKey():
-			c.htInt = make(map[int64][]int32, n)
-			for i := 0; i < n; i++ {
-				if !kv.IsNull(i) {
-					c.htInt[kv.I64[i]] = append(c.htInt[kv.I64[i]], int32(i))
-				}
-			}
-			return c
-		case kv.IsCoded():
-			c.htCode = make(map[uint64][]int32, n)
-			c.codeDict = kv.Dict
-			c.codeVals = kv.DictVals
-			for i := 0; i < n; i++ {
-				if !kv.IsNull(i) {
-					c.htCode[kv.Codes[i]] = append(c.htCode[kv.Codes[i]], int32(i))
-				}
-			}
-			return c
-		case kv.Typ == sqltypes.String:
-			c.htStr = make(map[string][]int32, n)
-			for i := 0; i < n; i++ {
-				if !kv.IsNull(i) {
-					c.htStr[kv.Str[i]] = append(c.htStr[kv.Str[i]], int32(i))
-				}
-			}
-			return c
-		}
+	c := &joinCore{h: h, build: build, matched: make([]bool, n),
+		keys: newKeyTable(len(h.BuildKeys)), next: make([]int32, n)}
+	if h.Residual != nil {
+		c.joined = make(sqltypes.Row, h.Probe.Schema().Len()+h.Build.Schema().Len())
 	}
-	c.htGen = make(map[string][]int32, n)
-	keyVals := make([]sqltypes.Value, len(h.BuildKeys))
-	for i := 0; i < n; i++ {
-		null := false
-		for j, k := range h.BuildKeys {
-			keyVals[j] = build.cols[k].Value(i)
-			null = null || keyVals[j].Null
+	// Insert back to front so that every chain lists rows in ascending order.
+	for hi := n; hi > 0; hi -= vector.DefaultBatchSize {
+		lo := max(hi-vector.DefaultBatchSize, 0)
+		c.keys.load(build.cols, h.BuildKeys, lo, hi, true)
+		for r := hi - 1; r >= lo; r-- {
+			c.next[r] = -1
+			if c.keys.hasNull(r - lo) {
+				continue // NULL keys never match
+			}
+			id, isNew := c.keys.insert(r - lo)
+			if isNew {
+				c.head = append(c.head, -1)
+			}
+			c.next[r] = c.head[id]
+			c.head[id] = int32(r)
 		}
-		if null {
-			continue
-		}
-		key := string(exec.EncodeKey(c.keyBuf[:0], keyVals))
-		c.htGen[key] = append(c.htGen[key], int32(i))
 	}
 	return c
 }
 
-// fastKey reports whether the single join key is int64-family on both sides.
-func (c *joinCore) fastKey() bool {
-	h := c.h
-	if len(h.BuildKeys) != 1 {
-		return false
+// first returns the first build row matching loaded probe row i, or -1.
+func (c *joinCore) first(i int) int32 {
+	if id := c.keys.find(i); id >= 0 {
+		return c.head[id]
 	}
-	bt := h.Build.Schema().Cols[h.BuildKeys[0]].Typ
-	pt := h.Probe.Schema().Cols[h.ProbeKeys[0]].Typ
-	intFamily := func(t sqltypes.Type) bool {
-		return t == sqltypes.Int64 || t == sqltypes.Date || t == sqltypes.Bool
-	}
-	return intFamily(bt) && intFamily(pt)
-}
-
-// prober returns a per-batch candidate lookup for the compacted batch b.
-// For htCode it bridges every probe representation into code space: same-dict
-// probes look codes up directly; foreign-dict probes translate each distinct
-// probe code at most once (memoized — one dictionary lookup per distinct
-// value, not per row); materialized probes translate through the build
-// dictionary per row. A string absent from the build dictionary has no build
-// matches by construction.
-func (c *joinCore) prober(b *vector.Batch) func(i int) (cands []int32, null bool) {
-	h := c.h
-	switch {
-	case c.htInt != nil:
-		kv := b.Vecs[h.ProbeKeys[0]]
-		return func(i int) ([]int32, bool) {
-			if kv.IsNull(i) {
-				return nil, true
-			}
-			return c.htInt[kv.I64[i]], false
-		}
-	case c.htCode != nil:
-		kv := b.Vecs[h.ProbeKeys[0]]
-		if kv.IsCoded() && kv.Dict == c.codeDict {
-			return func(i int) ([]int32, bool) {
-				if kv.IsNull(i) {
-					return nil, true
-				}
-				return c.htCode[kv.Codes[i]], false
-			}
-		}
-		if kv.IsCoded() {
-			memo := make(map[uint64][]int32, 64)
-			vals := kv.DictVals
-			return func(i int) ([]int32, bool) {
-				if kv.IsNull(i) {
-					return nil, true
-				}
-				code := kv.Codes[i]
-				cands, ok := memo[code]
-				if !ok {
-					if id, found := c.codeDict.Lookup(vals[code]); found {
-						cands = c.htCode[uint64(id)]
-					}
-					memo[code] = cands
-				}
-				return cands, false
-			}
-		}
-		return func(i int) ([]int32, bool) {
-			if kv.IsNull(i) {
-				return nil, true
-			}
-			if id, ok := c.codeDict.Lookup(kv.Str[i]); ok {
-				return c.htCode[uint64(id)], false
-			}
-			return nil, false
-		}
-	case c.htStr != nil:
-		kv := b.Vecs[h.ProbeKeys[0]]
-		return func(i int) ([]int32, bool) {
-			if kv.IsNull(i) {
-				return nil, true
-			}
-			return c.htStr[kv.StrAt(i)], false
-		}
-	default:
-		keyVals := make([]sqltypes.Value, len(h.ProbeKeys))
-		return func(i int) ([]int32, bool) {
-			null := false
-			for j, k := range h.ProbeKeys {
-				keyVals[j] = b.Vecs[k].Value(i)
-				null = null || keyVals[j].Null
-			}
-			if null {
-				return nil, true
-			}
-			return c.htGen[string(exec.EncodeKey(c.keyBuf[:0], keyVals))], false
-		}
-	}
+	return -1
 }
 
 // probeBatch joins one probe batch, returning zero or more output batches.
@@ -501,24 +391,16 @@ func (c *joinCore) probeBatch(b *vector.Batch) []*vector.Batch {
 	if n == 0 {
 		return nil
 	}
-
 	probeWidth := h.Probe.Schema().Len()
-	joined := make(sqltypes.Row, probeWidth+h.Build.Schema().Len())
-	lookup := c.prober(b)
+	c.keys.load(b.Vecs, h.ProbeKeys, 0, n, false)
 
 	switch h.Type {
 	case exec.LeftSemi, exec.LeftAnti:
 		sel := make([]int, 0, n)
 		for i := 0; i < n; i++ {
-			cands, null := lookup(i)
 			found := false
-			if !null {
-				for _, bi := range cands {
-					if c.residualOK(b, i, bi, joined, probeWidth) {
-						found = true
-						break
-					}
-				}
+			for bi := c.first(i); bi >= 0 && !found; bi = c.next[bi] {
+				found = c.residualOK(b, i, bi, probeWidth)
 			}
 			if found == (h.Type == exec.LeftSemi) {
 				sel = append(sel, i)
@@ -533,75 +415,28 @@ func (c *joinCore) probeBatch(b *vector.Batch) []*vector.Batch {
 
 	// Inner/outer joins: collect matching (probe, build) pairs, then gather
 	// them into output batches column by column.
-	var probeIdx, buildIdx []int32 // buildIdx -1 = null-extended
+	probeIdx, buildIdx := c.probeIdx[:0], c.buildIdx[:0] // buildIdx -1 = null-extended
 	leftOuter := h.Type == exec.LeftOuter || h.Type == exec.FullOuter
-	pkv := b.Vecs[h.ProbeKeys[0]]
-	switch {
-	case c.htInt != nil && !pkv.HasNulls() && h.Residual == nil:
-		// Hot path: single non-null int key, no residual.
-		mJoinBatchesInt.Inc()
-		for i, k := range pkv.I64[:n] {
-			matches := c.htInt[k]
-			if len(matches) == 0 {
-				if leftOuter {
-					probeIdx = append(probeIdx, int32(i))
-					buildIdx = append(buildIdx, -1)
-				}
-				continue
-			}
-			for _, bi := range matches {
+	for i := 0; i < n; i++ {
+		matched := false
+		for bi := c.first(i); bi >= 0; bi = c.next[bi] {
+			if c.residualOK(b, i, bi, probeWidth) {
+				matched = true
 				c.matched[bi] = true
 				probeIdx = append(probeIdx, int32(i))
 				buildIdx = append(buildIdx, bi)
 			}
 		}
-	case c.htCode != nil && pkv.IsCoded() && pkv.Dict == c.codeDict && !pkv.HasNulls() && h.Residual == nil:
-		// Hot path: both key sides share a dictionary — the join runs
-		// entirely in code space, no string is touched.
-		mJoinBatchesCode.Inc()
-		for i, k := range pkv.Codes[:n] {
-			matches := c.htCode[k]
-			if len(matches) == 0 {
-				if leftOuter {
-					probeIdx = append(probeIdx, int32(i))
-					buildIdx = append(buildIdx, -1)
-				}
-				continue
-			}
-			for _, bi := range matches {
-				c.matched[bi] = true
-				probeIdx = append(probeIdx, int32(i))
-				buildIdx = append(buildIdx, bi)
-			}
-		}
-	default:
-		mJoinBatchesGeneric.Inc()
-		for i := 0; i < n; i++ {
-			cands, null := lookup(i)
-			matched := false
-			if !null {
-				for _, bi := range cands {
-					if c.residualOK(b, i, bi, joined, probeWidth) {
-						matched = true
-						c.matched[bi] = true
-						probeIdx = append(probeIdx, int32(i))
-						buildIdx = append(buildIdx, bi)
-					}
-				}
-			}
-			if !matched && leftOuter {
-				probeIdx = append(probeIdx, int32(i))
-				buildIdx = append(buildIdx, -1)
-			}
+		if !matched && leftOuter {
+			probeIdx = append(probeIdx, int32(i))
+			buildIdx = append(buildIdx, -1)
 		}
 	}
+	c.probeIdx, c.buildIdx = probeIdx, buildIdx
 
 	var outs []*vector.Batch
 	for start := 0; start < len(probeIdx); start += vector.DefaultBatchSize {
-		end := start + vector.DefaultBatchSize
-		if end > len(probeIdx) {
-			end = len(probeIdx)
-		}
+		end := min(start+vector.DefaultBatchSize, len(probeIdx))
 		outs = append(outs, c.gather(b, probeIdx[start:end], buildIdx[start:end], probeWidth))
 	}
 	return outs
@@ -678,17 +513,17 @@ func gatherVec(dst, src *vector.Vector, idxs []int32) {
 	}
 }
 
-func (c *joinCore) residualOK(b *vector.Batch, probeIdx int, bi int32, joined sqltypes.Row, probeWidth int) bool {
+func (c *joinCore) residualOK(b *vector.Batch, probeIdx int, bi int32, probeWidth int) bool {
 	if c.h.Residual == nil {
 		return true
 	}
 	for ci := 0; ci < probeWidth; ci++ {
-		joined[ci] = b.Vecs[ci].Value(probeIdx)
+		c.joined[ci] = b.Vecs[ci].Value(probeIdx)
 	}
 	for ci, v := range c.build.cols {
-		joined[probeWidth+ci] = v.Value(int(bi))
+		c.joined[probeWidth+ci] = v.Value(int(bi))
 	}
-	v := c.h.Residual.Eval(joined)
+	v := c.h.Residual.Eval(c.joined)
 	return !v.Null && v.I != 0
 }
 
@@ -736,8 +571,8 @@ const spillPartitions = 8
 
 // enterSpillMode partitions build rows and the entire probe input to spill
 // files, then joins partition pairs one at a time. Dict-coded columns spill
-// as codes (spillPartition's tagged encoding); partition assignment hashes
-// decoded key values so both sides partition consistently regardless of
+// as codes (spillPartition's tagged encoding); partition assignment uses the
+// key table's value hash, so both sides partition consistently regardless of
 // representation.
 func (h *HashJoin) enterSpillMode(ctx context.Context, build *buildSide) error {
 	h.spilled = true
@@ -751,9 +586,10 @@ func (h *HashJoin) enterSpillMode(ctx context.Context, build *buildSide) error {
 		h.partProbe[i] = newSpillPartition(h.SpillStore, h.Probe.Schema())
 	}
 
+	router := newRouter(len(h.BuildKeys))
 	bb := batchWithRows(h.Build.Schema(), build.cols, build.len)
-	for i := 0; i < build.len; i++ {
-		p := partitionOfVecs(build.cols, i, h.BuildKeys)
+	parts := router.route(build.cols, h.BuildKeys, build.len, spillPartitions, nil)
+	for i, p := range parts {
 		if err := h.partBuild[p].addBatchRow(bb, i); err != nil {
 			return err
 		}
@@ -775,31 +611,16 @@ func (h *HashJoin) enterSpillMode(ctx context.Context, build *buildSide) error {
 		if b == nil {
 			break
 		}
-		for i := 0; i < b.Len(); i++ {
-			r := b.RowIdx(i)
-			p := partitionOfVecs(b.Vecs, r, h.ProbeKeys)
-			if err := h.partProbe[p].addBatchRow(b, r); err != nil {
+		b.Compact()
+		parts = router.route(b.Vecs, h.ProbeKeys, b.NumRows(), spillPartitions, parts)
+		for i, p := range parts {
+			if err := h.partProbe[p].addBatchRow(b, i); err != nil {
 				return err
 			}
 		}
 	}
 	h.partIdx = -1
 	return nil
-}
-
-// partitionOfVecs assigns physical row r to a spill partition by key hash;
-// NULL keys land in partition 0 (they never match, but outer joins still emit
-// them).
-func partitionOfVecs(vecs []*vector.Vector, r int, keys []int) int {
-	var acc uint64 = 14695981039346656037
-	for _, k := range keys {
-		if vecs[k].IsNull(r) {
-			return 0
-		}
-		acc = (acc ^ sqltypes.Hash(vecs[k].Value(r))) * 1099511628211
-	}
-	// Use high bits: low bits fed the in-memory hash table.
-	return int(acc>>57) % spillPartitions
 }
 
 // nextSpilled advances through partition pairs.

@@ -4,9 +4,8 @@ import "apollo/internal/metrics"
 
 // Process-wide series for the batch executor. Per-query numbers live in
 // ScanStats/OpStats; these aggregate across queries for the .metrics dump.
-// Scan counters are bumped per row group or per batch (never per row), and
-// the operator fast-path counters once per batch, keeping the hot-path cost
-// to one atomic add per ~900 rows.
+// Scan counters are bumped per row group or per batch (never per row),
+// keeping the hot-path cost to one atomic add per ~900 rows.
 var (
 	mScanGroups = metrics.Default.Counter("apollo_scan_row_groups_total",
 		"row groups considered by scans")
@@ -24,22 +23,6 @@ var (
 		"per-batch string columns emitted as dict codes (late materialization)")
 	mScanColsMaterialized = metrics.Default.Counter("apollo_scan_string_cols_materialized_total",
 		"per-batch string columns eagerly decoded (local-dict fallback)")
-
-	mAggBatchesFastInt = metrics.Default.Counter(`apollo_hashagg_batches_total{path="fastint"}`,
-		"batches aggregated, by group-resolution path")
-	mAggBatchesCoded = metrics.Default.Counter(`apollo_hashagg_batches_total{path="faststr_coded"}`,
-		"batches aggregated, by group-resolution path")
-	mAggBatchesStr = metrics.Default.Counter(`apollo_hashagg_batches_total{path="faststr"}`,
-		"batches aggregated, by group-resolution path")
-	mAggBatchesGeneric = metrics.Default.Counter(`apollo_hashagg_batches_total{path="generic"}`,
-		"batches aggregated, by group-resolution path")
-
-	mJoinBatchesInt = metrics.Default.Counter(`apollo_hashjoin_probe_batches_total{path="int"}`,
-		"probe batches joined, by probe path")
-	mJoinBatchesCode = metrics.Default.Counter(`apollo_hashjoin_probe_batches_total{path="code"}`,
-		"probe batches joined entirely in dictionary-code space")
-	mJoinBatchesGeneric = metrics.Default.Counter(`apollo_hashjoin_probe_batches_total{path="generic"}`,
-		"probe batches joined, by probe path")
 
 	mSpills = metrics.Default.Counter("apollo_exec_spills_total",
 		"hash-operator spill events (memory grant exhausted)")

@@ -201,11 +201,15 @@ func strSchema() *sqltypes.Schema {
 		sqltypes.Column{Name: "id", Typ: sqltypes.Int64},
 		sqltypes.Column{Name: "cat", Typ: sqltypes.String, Nullable: true},
 		sqltypes.Column{Name: "val", Typ: sqltypes.Int64},
+		sqltypes.Column{Name: "num", Typ: sqltypes.Int64, Nullable: true},
+		sqltypes.Column{Name: "fnum", Typ: sqltypes.Float64, Nullable: true},
 	)
 }
 
 // makeStrRows produces rows whose string column draws from cats with ~1/12
-// NULLs mixed in.
+// NULLs mixed in. num is a small integer and fnum a float that is integral
+// (equal to some num) half the time and halfway between two integers
+// otherwise, both with ~1/10 NULLs.
 func makeStrRows(n int, seed int64, cats []string) []sqltypes.Row {
 	rng := rand.New(rand.NewSource(seed))
 	rows := make([]sqltypes.Row, n)
@@ -214,7 +218,15 @@ func makeStrRows(n int, seed int64, cats []string) []sqltypes.Row {
 		if rng.Intn(12) == 0 {
 			cat = sqltypes.NewNull(sqltypes.String)
 		}
-		rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i)), cat, sqltypes.NewInt(int64(rng.Intn(1000)))}
+		num := sqltypes.NewInt(int64(rng.Intn(20)))
+		if rng.Intn(10) == 0 {
+			num = sqltypes.NewNull(sqltypes.Int64)
+		}
+		fnum := sqltypes.NewFloat(float64(rng.Intn(20)) + 0.5*float64(rng.Intn(2)))
+		if rng.Intn(10) == 0 {
+			fnum = sqltypes.NewNull(sqltypes.Float64)
+		}
+		rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i)), cat, sqltypes.NewInt(int64(rng.Intn(1000))), num, fnum}
 	}
 	return rows
 }
@@ -243,15 +255,7 @@ func rowModeRows(t *testing.T, op rowexec.Operator) map[string]int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]int{}
-	for _, r := range rows {
-		key := ""
-		for _, v := range r {
-			key += v.String() + "|"
-		}
-		out[key]++
-	}
-	return out
+	return rowMultiset(rows)
 }
 
 var catAggs = []exec.AggSpec{
@@ -260,144 +264,233 @@ var catAggs = []exec.AggSpec{
 	{Kind: exec.Min, Arg: expr.NewColRef(1, "val", sqltypes.Int64), Name: "lo"},
 }
 
-// Property: GROUP BY on a string column — grouping on raw dictionary codes
-// with materialized delta rows mixed in — matches the row engine, including
-// the NULL group.
+// keyCols are the scanned columns of every key-shape property: positions 0-3
+// of the scan output are cat, val, num and fnum.
+var keyCols = []int{1, 2, 3, 4}
+
+func keyRef(pos int) expr.Expr {
+	c := strSchema().Cols[keyCols[pos]]
+	return expr.NewColRef(pos, c.Name, c.Typ)
+}
+
+// keyShapes are the key column sets (positions in keyCols) the grouping and
+// join properties run: one string, one integer and one float key with NULLs,
+// and multi-column mixes of the three.
+var keyShapes = []struct {
+	name string
+	keys []int
+}{
+	{"cat", []int{0}},
+	{"num", []int{2}},
+	{"fnum", []int{3}},
+	{"cat+num", []int{0, 2}},
+	{"num+fnum+cat", []int{2, 3, 0}},
+}
+
+// distinctAggs adds DISTINCT aggregates over a string, an integer and a float
+// argument to catAggs (all positions in keyCols).
+var distinctAggs = append(append([]exec.AggSpec{}, catAggs...),
+	exec.AggSpec{Kind: exec.Count, Arg: keyRef(0), Distinct: true, Name: "dcat"},
+	exec.AggSpec{Kind: exec.Sum, Arg: keyRef(2), Distinct: true, Name: "dnum"},
+	exec.AggSpec{Kind: exec.Max, Arg: keyRef(3), Distinct: true, Name: "dfnum"},
+)
+
+// twoDictTables loads two string tables separately, so each has its own
+// dictionary; a union of both feeds a grouping the same strings coded under
+// two dictionaries plus materialized delta rows.
+func twoDictTables(t *testing.T, n int, seed int64, cats []string) (*table.Table, *table.Table) {
+	return loadStrTable(t, makeStrRows(n, seed, cats)), loadStrTable(t, makeStrRows(n/2, seed+1, cats))
+}
+
+func batchUnion(a, b *table.Table) Operator {
+	return &UnionAll{Ins: []Operator{NewScan(a.Snapshot(), keyCols), NewScan(b.Snapshot(), keyCols)}}
+}
+
+func rowUnion(a, b *table.Table) rowexec.Operator {
+	return &rowexec.UnionAll{Ins: []rowexec.Operator{rowexec.NewScan(a.Snapshot(), nil, keyCols), rowexec.NewScan(b.Snapshot(), nil, keyCols)}}
+}
+
+// rowAgg is the row-engine oracle for grouping on keys (positions in keyCols).
+func rowAgg(in rowexec.Operator, keys []int, aggs []exec.AggSpec) rowexec.Operator {
+	exprs := make([]expr.Expr, len(keys))
+	for i, k := range keys {
+		exprs[i] = keyRef(k)
+	}
+	return rowexec.NewHashAggregate(in, exprs, keyNames(keys), aggs)
+}
+
+func keyNames(keys []int) []string {
+	names := make([]string, len(keys))
+	for i, k := range keys {
+		names[i] = strSchema().Cols[keyCols[k]].Name
+	}
+	return names
+}
+
+// Property: GROUP BY — grouping on raw dictionary codes from two dictionaries
+// with materialized delta rows mixed in, on string, integer and float keys and
+// their multi-column mixes — matches the row engine, NULL groups included.
 func TestQuickStringGroupByParity(t *testing.T) {
 	cats := []string{"north", "south", "east", "west", "axis", "blade", "crest", "dune", "ember", "frost"}
-	tb := loadStrTable(t, makeStrRows(5000, 211, cats))
+	a, b := twoDictTables(t, 4000, 211, cats)
 
-	bScan := NewScan(tb.Snapshot(), []int{1, 2})
-	bScan.Stats = &ScanStats{}
-	batch := gotRows(t, NewHashAgg(bScan, []int{0}, []string{"cat"}, catAggs))
-
-	rScan := rowexec.NewScan(tb.Snapshot(), nil, []int{1, 2})
-	rAgg := rowexec.NewHashAggregate(rScan, []expr.Expr{expr.NewColRef(0, "cat", sqltypes.String)}, []string{"cat"}, catAggs)
-	want := rowModeRows(t, rAgg)
-
-	if !mapsEqual(batch, want) {
-		t.Fatalf("string GROUP BY diverged: batch %d keys, row %d keys", len(batch), len(want))
-	}
-	if bScan.Stats.StringColsCoded == 0 {
-		t.Fatal("scan emitted no coded string vectors — late materialization inactive")
+	for _, sh := range keyShapes {
+		scan := NewScan(a.Snapshot(), keyCols)
+		scan.Stats = &ScanStats{}
+		in := &UnionAll{Ins: []Operator{scan, NewScan(b.Snapshot(), keyCols)}}
+		batch := gotRows(t, NewHashAgg(in, sh.keys, keyNames(sh.keys), catAggs))
+		want := rowModeRows(t, rowAgg(rowUnion(a, b), sh.keys, catAggs))
+		if !mapsEqual(batch, want) {
+			t.Fatalf("%s GROUP BY diverged: batch %d keys, row %d keys", sh.name, len(batch), len(want))
+		}
+		if scan.Stats.StringColsCoded == 0 {
+			t.Fatal("scan emitted no coded string vectors — late materialization inactive")
+		}
 	}
 }
 
-// Property: DISTINCT over a string column (grouping with no aggregates)
-// matches the row engine.
+// Property: DISTINCT — grouping with no aggregates, and DISTINCT aggregates
+// over string, integer and float arguments per group — matches the row engine
+// for every key shape.
 func TestQuickStringDistinctParity(t *testing.T) {
 	cats := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
-	tb := loadStrTable(t, makeStrRows(3000, 223, cats))
+	a, b := twoDictTables(t, 3000, 223, cats)
 
-	batch := gotRows(t, NewHashAgg(NewScan(tb.Snapshot(), []int{1}), []int{0}, []string{"cat"}, nil))
-	rScan := rowexec.NewScan(tb.Snapshot(), nil, []int{1})
-	want := rowModeRows(t, rowexec.NewHashAggregate(rScan, []expr.Expr{expr.NewColRef(0, "cat", sqltypes.String)}, []string{"cat"}, nil))
-	if !mapsEqual(batch, want) {
-		t.Fatalf("string DISTINCT diverged: batch %d keys, row %d keys", len(batch), len(want))
+	for _, sh := range keyShapes {
+		for _, aggs := range [][]exec.AggSpec{nil, distinctAggs} {
+			batch := gotRows(t, NewHashAgg(batchUnion(a, b), sh.keys, keyNames(sh.keys), aggs))
+			want := rowModeRows(t, rowAgg(rowUnion(a, b), sh.keys, aggs))
+			if !mapsEqual(batch, want) {
+				t.Fatalf("%s DISTINCT (%d aggs) diverged: batch %d keys, row %d keys", sh.name, len(aggs), len(batch), len(want))
+			}
+		}
+	}
+	// Scalar DISTINCT aggregates: one group over the whole two-dictionary input.
+	batch := gotRows(t, NewHashAgg(batchUnion(a, b), nil, nil, distinctAggs))
+	if want := rowModeRows(t, rowAgg(rowUnion(a, b), nil, distinctAggs)); !mapsEqual(batch, want) {
+		t.Fatalf("scalar DISTINCT aggregates diverged: %v vs %v", batch, want)
 	}
 }
 
-// Property: joining on a string key matches the row engine for every join
-// type. The two tables are loaded separately, so their dictionaries are
-// distinct objects: the probe side crosses dictionaries (the memoized
-// code-translation path), and delta rows exercise the materialized bridges.
+// joinShapes are the join keys the join properties run, as positions in
+// keyCols on the probe and build side: a string key across two dictionaries,
+// integer keys against integral and non-integral float keys (both ways), and
+// a multi-column key — all with NULLs on both sides.
+var joinShapes = []struct {
+	name                 string
+	probeKeys, buildKeys []int
+}{
+	{"cat", []int{0}, []int{0}},
+	{"num=fnum", []int{2}, []int{3}},
+	{"fnum=num", []int{3}, []int{2}},
+	{"cat+num", []int{0, 2}, []int{0, 2}},
+}
+
+var joinTypes = []exec.JoinType{exec.Inner, exec.LeftOuter, exec.RightOuter, exec.FullOuter, exec.LeftSemi, exec.LeftAnti}
+
+// rowJoin is the row-engine oracle for a join over keyCols scans.
+func rowJoin(t *testing.T, probe, build *table.Table, probeKeys, buildKeys []int, jt exec.JoinType) rowexec.Operator {
+	t.Helper()
+	pk := make([]expr.Expr, len(probeKeys))
+	bk := make([]expr.Expr, len(buildKeys))
+	for i := range probeKeys {
+		pk[i], bk[i] = keyRef(probeKeys[i]), keyRef(buildKeys[i])
+	}
+	j, err := rowexec.NewHashJoin(rowexec.NewScan(probe.Snapshot(), nil, keyCols), rowexec.NewScan(build.Snapshot(), nil, keyCols), pk, bk, jt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// batchJoin is the batch join over keyCols scans; dop > 0 sets Parallel, and
+// a positive grant sets a memory grant with a spill store.
+func batchJoin(t *testing.T, probe, build *table.Table, probeKeys, buildKeys []int, jt exec.JoinType, dop int, grant int64) *HashJoin {
+	t.Helper()
+	j, err := NewHashJoin(NewScan(probe.Snapshot(), keyCols), NewScan(build.Snapshot(), keyCols), probeKeys, buildKeys, jt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Parallel = dop
+	if grant > 0 {
+		j.Tracker = NewTracker(grant)
+		j.SpillStore = storage.NewStore(0)
+	}
+	return j
+}
+
+// Property: joining matches the row engine for every join type and key shape.
+// The two tables are loaded separately, so their dictionaries are distinct
+// objects: the probe side crosses dictionaries, delta rows exercise the
+// materialized forms, and int/float keys meet on their integral values.
 func TestQuickStringJoinParity(t *testing.T) {
 	probeCats := []string{"north", "south", "east", "west", "inland", "offshore"}
 	buildCats := []string{"east", "west", "inland", "highland", "lowland"}
 	ptb := loadStrTable(t, makeStrRows(1200, 307, probeCats))
 	btb := loadStrTable(t, makeStrRows(400, 311, buildCats))
 
-	for _, jt := range []exec.JoinType{exec.Inner, exec.LeftOuter, exec.RightOuter, exec.FullOuter, exec.LeftSemi, exec.LeftAnti} {
-		bj, err := NewHashJoin(
-			NewScan(ptb.Snapshot(), []int{0, 1}), NewScan(btb.Snapshot(), []int{1, 2}),
-			[]int{1}, []int{0}, jt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch := gotRows(t, bj)
-
-		rj, err := rowexec.NewHashJoin(
-			rowexec.NewScan(ptb.Snapshot(), nil, []int{0, 1}), rowexec.NewScan(btb.Snapshot(), nil, []int{1, 2}),
-			[]expr.Expr{expr.NewColRef(1, "cat", sqltypes.String)},
-			[]expr.Expr{expr.NewColRef(0, "cat", sqltypes.String)}, jt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := rowModeRows(t, rj)
-
-		if !mapsEqual(batch, want) {
-			t.Fatalf("%v string join diverged: batch %d keys, row %d keys", jt, len(batch), len(want))
+	for _, sh := range joinShapes {
+		for _, jt := range joinTypes {
+			batch := gotRows(t, batchJoin(t, ptb, btb, sh.probeKeys, sh.buildKeys, jt, 0, 0))
+			want := rowModeRows(t, rowJoin(t, ptb, btb, sh.probeKeys, sh.buildKeys, jt))
+			if !mapsEqual(batch, want) {
+				t.Fatalf("%s %v join diverged: batch %d keys, row %d keys", sh.name, jt, len(batch), len(want))
+			}
 		}
 	}
 }
 
-// Property: a same-table self join on the string key (both sides share one
-// dictionary — the pure code-space hot path) matches the row engine.
+// Property: a same-table self join (both sides share one dictionary — the
+// pure code-space path) matches the row engine, on the string key alone and
+// on a multi-column key.
 func TestQuickStringSelfJoinParity(t *testing.T) {
 	cats := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	tb := loadStrTable(t, makeStrRows(700, 401, cats))
 
-	bj, err := NewHashJoin(
-		NewScan(tb.Snapshot(), []int{0, 1}), NewScan(tb.Snapshot(), []int{1}),
-		[]int{1}, []int{0}, exec.Inner, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := gotRows(t, bj)
-
-	rj, err := rowexec.NewHashJoin(
-		rowexec.NewScan(tb.Snapshot(), nil, []int{0, 1}), rowexec.NewScan(tb.Snapshot(), nil, []int{1}),
-		[]expr.Expr{expr.NewColRef(1, "cat", sqltypes.String)},
-		[]expr.Expr{expr.NewColRef(0, "cat", sqltypes.String)}, exec.Inner, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := rowModeRows(t, rj); !mapsEqual(batch, want) {
-		t.Fatalf("self join diverged: batch %d keys, row %d keys", len(batch), len(want))
+	for _, keys := range [][]int{{0}, {0, 2}} {
+		for _, jt := range []exec.JoinType{exec.Inner, exec.LeftAnti} {
+			batch := gotRows(t, batchJoin(t, tb, tb, keys, keys, jt, 0, 0))
+			if want := rowModeRows(t, rowJoin(t, tb, tb, keys, keys, jt)); !mapsEqual(batch, want) {
+				t.Fatalf("%v self join on %v diverged: batch %d keys, row %d keys", jt, keys, len(batch), len(want))
+			}
+		}
 	}
 }
 
-// Property: string GROUP BY and string join stay correct when forced through
-// the spill path (tiny memory grant), which round-trips dictionary codes
-// through spill files.
+// Property: grouping (plain and DISTINCT) and joining stay correct when forced
+// through the spill path (tiny memory grant), which round-trips dictionary
+// codes through spill files, for every key shape and join type.
 func TestQuickStringSpillParity(t *testing.T) {
 	cats := []string{"red", "orange", "yellow", "green", "blue", "indigo", "violet"}
-	tb := loadStrTable(t, makeStrRows(2000, 503, cats))
+	a, b := twoDictTables(t, 2000, 503, cats)
 
-	agg := NewHashAgg(NewScan(tb.Snapshot(), []int{1, 2}), []int{0}, []string{"cat"}, catAggs)
-	agg.Tracker = NewTracker(1 << 10)
-	agg.SpillStore = storage.NewStore(0)
-	batch := gotRows(t, agg)
-	if agg.Tracker.Spills() == 0 {
-		t.Fatal("aggregation did not spill under a 1 KiB grant")
-	}
-	rScan := rowexec.NewScan(tb.Snapshot(), nil, []int{1, 2})
-	want := rowModeRows(t, rowexec.NewHashAggregate(rScan, []expr.Expr{expr.NewColRef(0, "cat", sqltypes.String)}, []string{"cat"}, catAggs))
-	if !mapsEqual(batch, want) {
-		t.Fatalf("spilled string GROUP BY diverged: batch %d keys, row %d keys", len(batch), len(want))
+	for _, sh := range keyShapes {
+		for _, aggs := range [][]exec.AggSpec{catAggs, distinctAggs} {
+			agg := NewHashAgg(batchUnion(a, b), sh.keys, keyNames(sh.keys), aggs)
+			agg.Tracker = NewTracker(1 << 10)
+			agg.SpillStore = storage.NewStore(0)
+			batch := gotRows(t, agg)
+			if agg.Tracker.Spills() == 0 {
+				t.Fatalf("%s: aggregation did not spill under a 1 KiB grant", sh.name)
+			}
+			if want := rowModeRows(t, rowAgg(rowUnion(a, b), sh.keys, aggs)); !mapsEqual(batch, want) {
+				t.Fatalf("spilled %s GROUP BY (%d aggs) diverged: batch %d keys, row %d keys", sh.name, len(aggs), len(batch), len(want))
+			}
+		}
 	}
 
-	btb := loadStrTable(t, makeStrRows(500, 509, cats))
-	bj, err := NewHashJoin(
-		NewScan(tb.Snapshot(), []int{0, 1}), NewScan(btb.Snapshot(), []int{1, 2}),
-		[]int{1}, []int{0}, exec.FullOuter, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bj.Tracker = NewTracker(1 << 10)
-	bj.SpillStore = storage.NewStore(0)
-	jbatch := gotRows(t, bj)
-	if bj.Tracker.Spills() == 0 {
-		t.Fatal("join did not spill under a 1 KiB grant")
-	}
-	rj, err := rowexec.NewHashJoin(
-		rowexec.NewScan(tb.Snapshot(), nil, []int{0, 1}), rowexec.NewScan(btb.Snapshot(), nil, []int{1, 2}),
-		[]expr.Expr{expr.NewColRef(1, "cat", sqltypes.String)},
-		[]expr.Expr{expr.NewColRef(0, "cat", sqltypes.String)}, exec.FullOuter, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jwant := rowModeRows(t, rj); !mapsEqual(jbatch, jwant) {
-		t.Fatalf("spilled string join diverged: batch %d keys, row %d keys", len(jbatch), len(jwant))
+	ptb := loadStrTable(t, makeStrRows(2000, 509, cats))
+	btb := loadStrTable(t, makeStrRows(500, 521, cats))
+	for _, sh := range joinShapes {
+		for _, jt := range joinTypes {
+			bj := batchJoin(t, ptb, btb, sh.probeKeys, sh.buildKeys, jt, 0, 1<<10)
+			jbatch := gotRows(t, bj)
+			if bj.Tracker.Spills() == 0 {
+				t.Fatalf("%s %v: join did not spill under a 1 KiB grant", sh.name, jt)
+			}
+			if jwant := rowModeRows(t, rowJoin(t, ptb, btb, sh.probeKeys, sh.buildKeys, jt)); !mapsEqual(jbatch, jwant) {
+				t.Fatalf("spilled %s %v join diverged: batch %d keys, row %d keys", sh.name, jt, len(jbatch), len(jwant))
+			}
+		}
 	}
 }

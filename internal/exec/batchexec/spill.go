@@ -67,18 +67,6 @@ func (t *Tracker) Used() int64 {
 	return t.used.Load()
 }
 
-// rowBytes estimates a row's in-memory footprint for grant accounting.
-func rowBytes(row sqltypes.Row) int64 {
-	n := int64(48) // slice + header overhead
-	for _, v := range row {
-		n += 24
-		if v.Typ == sqltypes.String {
-			n += int64(len(v.S))
-		}
-	}
-	return n
-}
-
 // spillPartition accumulates rows destined for one spill file and flushes
 // them to the storage substrate (paying accounted write I/O).
 //
